@@ -81,11 +81,11 @@ func TestFacadeAggregations(t *testing.T) {
 	}
 	q, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
 
-	sum, err := dptrace.NoisySum(q, 1.0, func(v float64) float64 { return v })
+	sum, err := dptrace.Sum(q, 1.0, func(v float64) float64 { return v })
 	if err != nil || math.Abs(sum-499.5) > 10 {
 		t.Errorf("sum %v, %v; want ~499.5", sum, err)
 	}
-	avg, err := dptrace.NoisyAverage(q, 1.0, func(v float64) float64 { return v })
+	avg, err := dptrace.Average(q, 1.0, func(v float64) float64 { return v })
 	if err != nil || math.Abs(avg-0.4995) > 0.05 {
 		t.Errorf("avg %v, %v; want ~0.5", avg, err)
 	}
@@ -97,11 +97,11 @@ func TestFacadeAggregations(t *testing.T) {
 	if err != nil || math.Abs(q90-0.9) > 0.05 {
 		t.Errorf("p90 %v, %v; want ~0.9", q90, err)
 	}
-	scaled, err := dptrace.NoisySumScaled(q, 1.0, 10, func(v float64) float64 { return v * 5 })
+	scaled, err := dptrace.Sum(q, 1.0, func(v float64) float64 { return v * 5 }, dptrace.WithBound(10))
 	if err != nil || math.Abs(scaled-2497.5) > 50 {
 		t.Errorf("scaled sum %v, %v; want ~2497.5", scaled, err)
 	}
-	avgScaled, err := dptrace.NoisyAverageScaled(q, 1.0, 10, func(v float64) float64 { return v * 5 })
+	avgScaled, err := dptrace.Average(q, 1.0, func(v float64) float64 { return v * 5 }, dptrace.WithBound(10))
 	if err != nil || math.Abs(avgScaled-2.4975) > 0.2 {
 		t.Errorf("scaled avg %v, %v; want ~2.5", avgScaled, err)
 	}
@@ -112,26 +112,29 @@ func TestFacadeSumAverageOptions(t *testing.T) {
 	for i := range values {
 		values[i] = float64(i) / 1000
 	}
-	// Identical seeds draw identical noise, so the new entry points
-	// must agree exactly with the deprecated wrappers they replace.
+	// Identical seeds draw identical noise, so the default bound must
+	// agree exactly with an explicit WithBound(1).
 	qa, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
 	qb, _ := dptrace.NewQueryable(values, math.Inf(1), dptrace.NewSeededSource(5, 6))
 
-	id := func(v float64) float64 { return v }
-	sumNew, err1 := dptrace.Sum(qa, 1.0, id)
-	sumOld, err2 := dptrace.NoisySum(qb, 1.0, id)
-	if err1 != nil || err2 != nil || sumNew != sumOld {
-		t.Errorf("Sum %v/%v vs NoisySum %v/%v", sumNew, err1, sumOld, err2)
+	x5 := func(v float64) float64 { return v * 5 }
+	sumDefault, err1 := dptrace.Sum(qa, 1.0, x5)
+	sumOne, err2 := dptrace.Sum(qb, 1.0, x5, dptrace.WithBound(1))
+	if err1 != nil || err2 != nil || sumDefault != sumOne {
+		t.Errorf("Sum %v/%v vs Sum(WithBound(1)) %v/%v", sumDefault, err1, sumOne, err2)
 	}
-	avgNew, err1 := dptrace.Average(qa, 1.0, id, dptrace.WithBound(10))
-	avgOld, err2 := dptrace.NoisyAverageScaled(qb, 1.0, 10, id)
-	if err1 != nil || err2 != nil || avgNew != avgOld {
-		t.Errorf("Average %v/%v vs NoisyAverageScaled %v/%v", avgNew, err1, avgOld, err2)
+	// The bound clamps: 800 of the 1000 contributions exceed 1, so the
+	// clamped sum is 800 + 5·Σ_{i<200} i/1000 = 899.5, not 2497.5.
+	if math.Abs(sumDefault-899.5) > 10 {
+		t.Errorf("default-bound sum %v, want ~899.5", sumDefault)
 	}
-	scaledNew, err1 := dptrace.Sum(qa, 1.0, id, dptrace.WithBound(10))
-	scaledOld, err2 := dptrace.NoisySumScaled(qb, 1.0, 10, id)
-	if err1 != nil || err2 != nil || scaledNew != scaledOld {
-		t.Errorf("Sum(WithBound) %v/%v vs NoisySumScaled %v/%v", scaledNew, err1, scaledOld, err2)
+	avgDefault, err1 := dptrace.Average(qa, 1.0, x5)
+	avgOne, err2 := dptrace.Average(qb, 1.0, x5, dptrace.WithBound(1))
+	if err1 != nil || err2 != nil || avgDefault != avgOne {
+		t.Errorf("Average %v/%v vs Average(WithBound(1)) %v/%v", avgDefault, err1, avgOne, err2)
+	}
+	if math.Abs(avgDefault-0.8995) > 0.05 {
+		t.Errorf("default-bound average %v, want ~0.9", avgDefault)
 	}
 }
 

@@ -45,7 +45,12 @@ go test -race -run 'TestChaosStorm' -count=1 ./internal/dpserver -chaosdur 3s
 # zero budget drift — every ACKed ε present exactly once on the new
 # primary, idempotent replays byte-identical across the failover, and
 # the two ledger directories prefix-consistent (see DESIGN.md §S35).
-go test -race -run 'TestKillPrimaryFailover|TestFailoverStorm' -count=1 ./internal/dpserver -failoverdur 3s
+go test -race -cpu 1,4 -run 'TestKillPrimaryFailover|TestFailoverStorm' -count=1 ./internal/dpserver -failoverdur 3s
+# The packages that share ledger state across goroutines (replication
+# stream, standing fires, server reads) under the race detector at one
+# and at four procs: an interleaving a single proc never schedules
+# still gets exercised on a small host.
+go test -race -cpu 1,4 -count=1 ./internal/ledger ./internal/repl ./internal/standing ./internal/dpserver
 # Standing-query smoke: register + ingest + windows firing end to end,
 # and the kill-restart acceptance (byte-identical replay, no window
 # double-charged or skipped) — the continual-monitoring contract in

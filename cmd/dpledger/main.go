@@ -216,7 +216,7 @@ func compact(dir string, auditCap int) {
 	if err := led.Snapshot(); err != nil {
 		fatal(err)
 	}
-	fmt.Printf("compacted through seq %d\n", led.State().Seq)
+	fmt.Printf("compacted through seq %d\n", led.CommittedSeq())
 }
 
 func fatal(err error) {

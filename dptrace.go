@@ -193,35 +193,6 @@ func Average[T any](q *Queryable[T], epsilon float64, f func(T) float64, opts ..
 	return core.NoisyAverageScaled(q, epsilon, c.bound, f)
 }
 
-// NoisySum sums f clamped to [-1, 1] plus Laplace noise (std √2/ε).
-//
-// Deprecated: use Sum.
-func NoisySum[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return Sum(q, epsilon, f)
-}
-
-// NoisySumScaled sums f clamped to [-bound, bound] with
-// correspondingly scaled noise.
-//
-// Deprecated: use Sum with WithBound.
-func NoisySumScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (float64, error) {
-	return Sum(q, epsilon, f, WithBound(bound))
-}
-
-// NoisyAverage averages f clamped to [-1, 1]; noise std ≈ √8/(εn).
-//
-// Deprecated: use Average.
-func NoisyAverage[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {
-	return Average(q, epsilon, f)
-}
-
-// NoisyAverageScaled averages f clamped to [-bound, bound].
-//
-// Deprecated: use Average with WithBound.
-func NoisyAverageScaled[T any](q *Queryable[T], epsilon, bound float64, f func(T) float64) (float64, error) {
-	return Average(q, epsilon, f, WithBound(bound))
-}
-
 // NoisyMedian selects an approximate median via the exponential
 // mechanism.
 func NoisyMedian[T any](q *Queryable[T], epsilon float64, f func(T) float64) (float64, error) {

@@ -508,8 +508,8 @@ func (c *Client) Promote(ctx context.Context) (uint64, error) {
 	return pr.Epoch, nil
 }
 
-// RecentTraces fetches the server's ring of recent query traces
-// (newest first); n ≤ 0 fetches everything the server holds. This is
+// RecentTraces fetches the server's recent query events rendered as
+// span trees (newest first); n ≤ 0 fetches everything the server holds. This is
 // an owner-side surface — see the dpserver package docs.
 func (c *Client) RecentTraces(ctx context.Context, n int) ([]*obs.Span, error) {
 	path := "/v1/debug/traces"

@@ -57,7 +57,8 @@ type QueryRequest struct {
 	// form, e.g. "10.0.0.1".
 	Key string `json:"key,omitempty"`
 	// Trace asks the server to return the executed pipeline as a span
-	// tree in the response (operational metadata only, no record data).
+	// tree in the response (operational metadata only: no record data
+	// and no record counts).
 	Trace bool `json:"trace,omitempty"`
 	// IdempotencyKey, when set, makes the query at-most-once per
 	// dataset/analyst: the first execution's response is stored and
@@ -78,8 +79,8 @@ type QueryResponse struct {
 	// no infinity).
 	Spent     float64 `json:"spent"`
 	Remaining float64 `json:"remaining"`
-	// Trace is the executed pipeline's span tree, present when the
-	// request set "trace":true.
+	// Trace is the executed pipeline's span tree, rendered from the
+	// redacted profile, present when the request set "trace":true.
 	Trace *obs.Span `json:"trace,omitempty"`
 	// Profile is the query's execution profile, present when the
 	// request carried the X-DP-Explain header. It is redacted (no

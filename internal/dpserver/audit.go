@@ -103,7 +103,7 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 	if lStr := r.URL.Query().Get("limit"); lStr != "" {
 		l, err := strconv.Atoi(lStr)
 		if err != nil || l < 0 {
-			writeJSON(w, http.StatusBadRequest, errorResponse{Error: "limit must be a non-negative integer"})
+			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "limit must be a non-negative integer"})
 			return
 		}
 		limit = l

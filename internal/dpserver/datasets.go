@@ -4,12 +4,10 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"time"
 
 	"dptrace/internal/core"
 	"dptrace/internal/dpserver/api"
 	"dptrace/internal/noise"
-	"dptrace/internal/obs"
 	"dptrace/internal/trace"
 )
 
@@ -121,16 +119,12 @@ func (s *Server) handleLoadMatrix(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *linkDataset, exec core.ExecOptions, req *MatrixRequest) (int, []byte, bool) {
-	if s.execHook != nil {
-		s.execHook(ctx)
-	}
-	start := time.Now()
+	run := s.beginQuery(ctx, "/query/loadmatrix", "loadmatrix", req.Dataset, req.Analyst, req.Epsilon, req.IdempotencyKey, d.policy)
 	s.mu.RLock()
 	samples := d.samples
 	s.mu.RUnlock()
-	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	q := core.NewQueryableFor(samples, d.policy.AgentFor(req.Analyst), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
+	q := core.NewQueryableFor(samples, run.agent, s.src).
+		WithRecorder(run.prof).WithExecOptions(exec).WithContext(ctx)
 
 	linkKeys := make([]int32, d.links)
 	for i := range linkKeys {
@@ -140,12 +134,6 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 	for i := range binKeys {
 		binKeys[i] = int32(i)
 	}
-	spentBefore := d.policy.SpentBy(req.Analyst)
-	done := queryOutcome{
-		endpoint: "/query/loadmatrix", analyst: req.Analyst, dataset: req.Dataset,
-		query: "loadmatrix", epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
-	}
 	data := make([]float64, d.bins*d.links)
 	byLink := core.Partition(q, linkKeys, func(x trace.LinkSample) int32 { return x.Link })
 	for l, lk := range linkKeys {
@@ -153,31 +141,20 @@ func (s *Server) executeLoadMatrix(ctx context.Context, v1, explain bool, d *lin
 		for b, bk := range binKeys {
 			c, err := byBin[bk].NoisyCount(req.Epsilon)
 			if err != nil {
-				charged := d.policy.SpentBy(req.Analyst) - spentBefore
-				outcome := auditOutcome(err)
-				s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
-					Query: "loadmatrix", Epsilon: req.Epsilon, Charged: charged, Outcome: outcome})
-				status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
-				cacheable := !(outcome == "canceled" && charged == 0)
-				done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-				s.finishQuery(done)
-				return status, marshalError(v1, ae), cacheable
+				return s.failQuery(run, v1, err)
 			}
 			data[b*d.links+l] = c
 		}
 	}
-	s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
-		Query: "loadmatrix", Epsilon: req.Epsilon, Charged: req.Epsilon, Outcome: "ok"})
 	resp := MatrixResponse{
 		Bins: d.bins, Links: d.links, Data: data,
 		NoiseStd:  noise.LaplaceStd(req.Epsilon),
 		Spent:     d.policy.SpentBy(req.Analyst),
 		Remaining: finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)),
 	}
-	done.outcome, done.status, done.charged, done.profile = "ok", http.StatusOK, resp.Spent-spentBefore, prof.Profile()
-	s.finishQuery(done)
+	prof := s.finishQuery(run, http.StatusOK, nil)
 	if explain {
-		resp.Profile = done.profile.Redact()
+		resp.Profile = prof.Redact()
 	}
 	return http.StatusOK, marshalJSON(resp), true
 }
@@ -222,25 +199,15 @@ func (s *Server) handleMonitorAverages(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d *hopDataset, exec core.ExecOptions, req *HopAveragesRequest) (int, []byte, bool) {
-	if s.execHook != nil {
-		s.execHook(ctx)
-	}
-	start := time.Now()
+	run := s.beginQuery(ctx, "/query/monitoravgs", "monitoravgs", req.Dataset, req.Analyst, req.Epsilon, req.IdempotencyKey, d.policy)
 	s.mu.RLock()
 	records := d.records
 	s.mu.RUnlock()
-	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	q := core.NewQueryableFor(records, d.policy.AgentFor(req.Analyst), s.src).
-		WithRecorder(obs.Multi(s.engineRec, prof)).WithExecOptions(exec).WithContext(ctx)
+	q := core.NewQueryableFor(records, run.agent, s.src).
+		WithRecorder(run.prof).WithExecOptions(exec).WithContext(ctx)
 	keys := make([]int32, d.monitors)
 	for i := range keys {
 		keys[i] = int32(i)
-	}
-	spentBefore := d.policy.SpentBy(req.Analyst)
-	done := queryOutcome{
-		endpoint: "/query/monitoravgs", analyst: req.Analyst, dataset: req.Dataset,
-		query: "monitoravgs", epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
 	}
 	parts := core.Partition(q, keys, func(rec trace.HopRecord) int32 { return rec.Monitor })
 	averages := make([]float64, d.monitors)
@@ -248,29 +215,18 @@ func (s *Server) executeMonitorAverages(ctx context.Context, v1, explain bool, d
 		avg, err := core.NoisyAverageScaled(parts[key], req.Epsilon, req.MaxHops,
 			func(rec trace.HopRecord) float64 { return float64(rec.Hops) })
 		if err != nil {
-			charged := d.policy.SpentBy(req.Analyst) - spentBefore
-			outcome := auditOutcome(err)
-			s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
-				Query: "monitoravgs", Epsilon: req.Epsilon, Charged: charged, Outcome: outcome})
-			status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
-			cacheable := !(outcome == "canceled" && charged == 0)
-			done.outcome, done.status, done.charged, done.profile = outcome, status, charged, prof.Profile()
-			s.finishQuery(done)
-			return status, marshalError(v1, ae), cacheable
+			return s.failQuery(run, v1, err)
 		}
 		averages[m] = avg
 	}
-	s.recordAudit(AuditEntry{Analyst: req.Analyst, Dataset: req.Dataset,
-		Query: "monitoravgs", Epsilon: req.Epsilon, Charged: req.Epsilon, Outcome: "ok"})
 	resp := HopAveragesResponse{
 		Averages:  averages,
 		Spent:     d.policy.SpentBy(req.Analyst),
 		Remaining: finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)),
 	}
-	done.outcome, done.status, done.charged, done.profile = "ok", http.StatusOK, resp.Spent-spentBefore, prof.Profile()
-	s.finishQuery(done)
+	prof := s.finishQuery(run, http.StatusOK, nil)
 	if explain {
-		resp.Profile = done.profile.Redact()
+		resp.Profile = prof.Redact()
 	}
 	return http.StatusOK, marshalJSON(resp), true
 }

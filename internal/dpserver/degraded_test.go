@@ -17,6 +17,7 @@ import (
 	"dptrace/internal/core"
 	"dptrace/internal/ledger"
 	"dptrace/internal/noise"
+	"dptrace/internal/obs/qlog"
 	"dptrace/internal/vfs"
 )
 
@@ -319,7 +320,7 @@ func TestFrozenLedgerStillHostsReadOnly(t *testing.T) {
 	if led.Frozen() == nil {
 		t.Fatal("corrupt WAL did not freeze the ledger")
 	}
-	s := New(noise.NewSeededSource(1, 2), WithLedger(led), WithLogf(t.Logf))
+	s := New(noise.NewSeededSource(1, 2), WithLedger(led), WithEventLog(qlog.New(qlog.Options{Mirror: t.Logf})))
 	if err := s.AddPacketTrace("hotspot", restartTrace(), 2.0, 1.0); err != nil {
 		t.Fatalf("registration on a frozen ledger must host read-only, got %v", err)
 	}

@@ -32,14 +32,19 @@
 //	                     total/spent/remaining gauges, per-operator
 //	                     engine timings, aggregation outcome counters
 //	GET  /healthz        liveness: uptime, dataset count, goroutines
-//	GET  /debug/traces   ring buffer of recent query traces (?n= limit)
+//	GET  /debug/queries  recent wide events, newest first (?n= limit)
+//	GET  /debug/traces   recent query events as span trees (?n= limit)
 //	/debug/pprof/*       optional; mount with Handler(WithPprof())
 //
-// Setting "trace":true on POST /query returns the executed pipeline as
-// a span tree in the response's "trace" field. None of these surfaces
-// expose record data — only operational metadata and the budget ledger
-// the owner already governs by — but /audit, /debug/*, and /metrics
-// are owner-side endpoints; expose them accordingly.
+// Each query builds one record, its execution profile (obs.Profile),
+// and every per-query surface is a view of it: the "query" wide event,
+// the audit entry, the engine metrics, and the span trees. Setting
+// "trace":true on POST /query returns the span tree rendered from the
+// redacted profile in the response's "trace" field — operators,
+// durations, strategies and ε, but no record counts, which are
+// pre-noise values (DESIGN.md §S31). None of these surfaces expose
+// record data, but /audit, /debug/*, and /metrics are owner-side
+// endpoints that keep the counts; expose them accordingly.
 package dpserver
 
 import (
@@ -90,8 +95,7 @@ type Server struct {
 
 	start     time.Time
 	metrics   *obs.Registry
-	engineRec obs.Recorder // aggregates engine telemetry into metrics
-	traces    *obs.TraceBuffer
+	engineRec *obs.MetricsRecorder // fed each finished query profile
 
 	// Request lifecycle (see lifecycle.go).
 	limits        Limits
@@ -111,7 +115,7 @@ type Server struct {
 	// occurrence — query completions, panics, sheds, degrade
 	// transitions, ledger freezes, drains — is one typed structured
 	// event (see internal/obs/qlog). Always non-nil after New; the
-	// ring behind it backs GET /debug/queries.
+	// ring behind it backs GET /debug/queries and /debug/traces.
 	events *qlog.Logger
 
 	// degradedNoted tracks the last observed degrade state so the
@@ -134,40 +138,11 @@ type Server struct {
 	// registered standing queries fire on deterministic window
 	// boundaries as ingest advances each dataset's record watermark.
 	standing *standing.Registry
-
-	// log is the deprecated printf mirror (WithLogf): Warn+ events are
-	// rendered to it as text lines. Nil discards them.
-	log func(format string, args ...any)
 }
 
-// event emits one structured wide event, mirroring Warn and Error
-// events to the deprecated WithLogf sink as rendered text.
+// event emits one structured wide event.
 func (s *Server) event(level qlog.Level, name string, fields ...qlog.Field) {
-	e := qlog.Event{Level: level, Name: name}.With(fields...)
-	s.events.Emit(e)
-	if s.log != nil && level >= qlog.Warn {
-		s.log("dpserver: %s", e.Text())
-	}
-}
-
-// logf emits one operational warning through the deprecated printf
-// mirror only (used where the caller already emitted a typed event
-// with richer fields and just wants the legacy rendering).
-func (s *Server) logf(format string, args ...any) {
-	if s.log != nil {
-		s.log(format, args...)
-	}
-}
-
-// WithLogf directs a text rendering of the server's Warn and Error
-// events — recovered panics, ledger trouble, drains — to f (e.g.
-// log.Printf).
-//
-// Deprecated: WithLogf predates the structured event log and remains
-// as a shim. New code should read the JSON event stream instead: pass
-// WithEventLog a qlog.Logger writing to your sink.
-func WithLogf(f func(format string, args ...any)) ServerOption {
-	return func(s *Server) { s.log = f }
+	s.events.Emit(qlog.Event{Level: level, Name: name}.With(fields...))
 }
 
 // WithEventLog replaces the server's structured event logger — the
@@ -220,7 +195,6 @@ func New(src noise.Source, opts ...ServerOption) *Server {
 		audit:    newAuditLog(0, nil),
 		start:    time.Now(),
 		metrics:  obs.NewRegistry(),
-		traces:   obs.NewTraceBuffer(0),
 		idem:     newIdemCache(),
 		events:   qlog.New(qlog.Options{}),
 	}
@@ -608,84 +582,30 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 // executeQuery runs one packet-trace query to completion under ctx,
 // returning the response status, its marshaled body, and whether the
-// outcome may be replayed for an idempotency key. The one
-// non-replayable outcome is a cancellation that charged nothing: a
-// retry should execute, not be handed back its own timeout.
+// outcome may be replayed for an idempotency key (see failQuery).
 //
-// Every execution — success or failure — ends in exactly one "query"
-// wide event carrying the full execution profile (see finishQuery).
-// explain additionally returns the redacted profile to the analyst in
-// the response envelope; it changes no budget accounting and no
-// ledger traffic.
+// The query builds exactly one record, its profile, and every
+// per-query product is a view of it (see finishQuery). explain
+// returns the redacted profile to the analyst in the response
+// envelope, and "trace":true the span tree rendered from it; neither
+// changes budget accounting or ledger traffic.
 func (s *Server) executeQuery(ctx context.Context, v1, explain bool, d *dataset, req *QueryRequest) (int, []byte, bool) {
-	start := time.Now()
-	if s.execHook != nil {
-		s.execHook(ctx)
-	}
-	// Every query executes under a trace recorder (feeding the
-	// /debug/traces ring), a profile recorder (feeding the wide event
-	// and X-DP-Explain), and the server's metrics recorder.
-	tr := obs.NewTraceRecorder("query:" + req.Query)
-	tr.SetLabel("analyst", req.Analyst)
-	tr.SetLabel("dataset", req.Dataset)
-	prof := obs.NewProfileRecorder(func() float64 { return d.policy.SpentBy(req.Analyst) })
-	rec := obs.Multi(s.engineRec, tr, prof)
-
-	q := core.NewQueryableFor(s.snapshotPackets(d), d.policy.AgentFor(req.Analyst), s.src).
-		WithRecorder(rec).WithExecOptions(s.execFor(d)).WithContext(ctx)
-
-	spentBefore := d.policy.SpentBy(req.Analyst)
-	entry := AuditEntry{
-		Analyst: req.Analyst, Dataset: req.Dataset,
-		Query: req.Query, Epsilon: req.Epsilon,
-	}
-	done := queryOutcome{
-		endpoint: "/query", analyst: req.Analyst, dataset: req.Dataset,
-		query: req.Query, epsilon: req.Epsilon, started: start,
-		idempotency: idemStatus(req.IdempotencyKey), policy: d.policy,
-	}
+	run := s.beginQuery(ctx, "/query", req.Query, req.Dataset, req.Analyst, req.Epsilon, req.IdempotencyKey, d.policy)
+	q := core.NewQueryableFor(s.snapshotPackets(d), run.agent, s.src).
+		WithRecorder(run.prof).WithExecOptions(s.execFor(d)).WithContext(ctx)
 	resp, err := runQuery(q, req)
 	if err != nil {
-		if errors.Is(err, core.ErrInternal) {
-			// A panic recovered at the aggregation boundary (the worker
-			// or recoverAgg guards): the request gets a clean 500 and
-			// the process lives, but the panic is still a bug — count
-			// and log it like one the HTTP middleware caught.
-			s.metrics.Counter("dp_panics_total", "site", "aggregation").Inc()
-			s.event(qlog.Error, "panic_recovered",
-				qlog.F("site", "aggregation"),
-				qlog.F("analyst", req.Analyst),
-				qlog.F("dataset", req.Dataset),
-				qlog.F("query", req.Query),
-				qlog.F("error", err.Error()))
-		}
-		charged := d.policy.SpentBy(req.Analyst) - spentBefore
-		entry.Outcome = auditOutcome(err)
-		entry.Charged = charged
-		s.recordAudit(entry)
-		tr.SetLabel("outcome", entry.Outcome)
-		s.traces.Add(tr.Finish())
-		status, ae := classify(err, finiteOrUnlimited(d.policy.RemainingFor(req.Analyst)), charged)
-		cacheable := !(entry.Outcome == "canceled" && charged == 0)
-		done.outcome, done.status, done.charged, done.profile = entry.Outcome, status, charged, prof.Profile()
-		s.finishQuery(done)
-		return status, marshalError(v1, ae), cacheable
+		return s.failQuery(run, v1, err)
 	}
 	resp.Spent = d.policy.SpentBy(req.Analyst)
 	resp.Remaining = finiteOrUnlimited(d.policy.RemainingFor(req.Analyst))
-	entry.Outcome = "ok"
-	entry.Charged = resp.Spent - spentBefore
-	s.recordAudit(entry)
-	tr.SetLabel("outcome", entry.Outcome)
-	span := tr.Finish()
-	s.traces.Add(span)
+	prof := s.finishQuery(run, http.StatusOK, nil)
 	if req.Trace {
-		resp.Trace = span
+		resp.Trace = querySpan(req.Query, req.Analyst, req.Dataset, run.outcome,
+			run.started, run.duration, prof.Redact())
 	}
-	done.outcome, done.status, done.charged, done.profile = entry.Outcome, http.StatusOK, entry.Charged, prof.Profile()
-	s.finishQuery(done)
 	if explain {
-		resp.Profile = done.profile.Redact()
+		resp.Profile = prof.Redact()
 	}
 	return http.StatusOK, marshalJSON(resp), true
 }

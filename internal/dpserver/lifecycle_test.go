@@ -365,6 +365,7 @@ func TestV1ErrorEnvelope(t *testing.T) {
 		{"loadmatrix unknown", "POST", "/v1/query/loadmatrix", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
 		{"monitoravgs unknown", "POST", "/v1/query/monitoravgs", `{"analyst":"a","dataset":"nope","epsilon":1}`, http.StatusNotFound, codeNotFound},
 		{"traces bad n", "GET", "/v1/debug/traces?n=-1", "", http.StatusBadRequest, codeBadRequest},
+		{"audit bad limit", "GET", "/v1/audit?limit=-1", "", http.StatusBadRequest, codeBadRequest},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

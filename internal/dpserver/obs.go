@@ -18,16 +18,13 @@ import (
 
 // This file is the server's observability surface: per-endpoint
 // request metrics, the Prometheus/JSON scrape endpoint, a health
-// probe, and the flight recorder of recent query traces. None of it
+// probe, and the span-tree view of recent query events. None of it
 // exposes record data — only operational metadata and the budget
 // ledger the data owner already governs by.
 
 // Metrics returns the server's metrics registry, for embedding
 // servers that want to add their own series or scrape in-process.
 func (s *Server) Metrics() *obs.Registry { return s.metrics }
-
-// Traces returns the ring buffer of recent query traces.
-func (s *Server) Traces() *obs.TraceBuffer { return s.traces }
 
 // HandlerOption configures Handler.
 type HandlerOption func(*handlerConfig)
@@ -178,7 +175,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		Datasets:      n,
 		Goroutines:    runtime.NumGoroutine(),
 		AuditEntries:  s.audit.len(),
-		RecentTraces:  s.traces.Len(),
+		RecentTraces:  len(s.recentQueryEvents()),
 	}
 	// Role-based shedding (follower, quorum) is /readyz's concern;
 	// liveness only flags actual ledger damage.
@@ -190,19 +187,25 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
-// handleDebugTraces serves the most recent query traces, newest
-// first; ?n= limits the count.
+// handleDebugTraces serves the recent "query" wide events as span
+// trees, newest first; ?n= limits the count. The trees keep record
+// counts: this is an owner-side view of the same ring as
+// /debug/queries, so qlog sampling of "query" thins it too.
 func (s *Server) handleDebugTraces(w http.ResponseWriter, r *http.Request) {
-	spans := s.traces.Snapshot()
+	events := s.recentQueryEvents()
 	if nStr := r.URL.Query().Get("n"); nStr != "" {
 		n, err := strconv.Atoi(nStr)
 		if err != nil || n < 0 {
 			s.writeError(w, r, http.StatusBadRequest, apiError{Code: codeBadRequest, Message: "n must be a non-negative integer"})
 			return
 		}
-		if n < len(spans) {
-			spans = spans[:n]
+		if n < len(events) {
+			events = events[:n]
 		}
+	}
+	spans := make([]*obs.Span, len(events))
+	for i, e := range events {
+		spans[i] = eventSpan(e)
 	}
 	writeJSON(w, http.StatusOK, spans)
 }

@@ -251,11 +251,8 @@ func TestQueryTraceSpanTree(t *testing.T) {
 	if agg.Labels["outcome"] != "ok" {
 		t.Errorf("aggregate span outcome %q, want ok", agg.Labels["outcome"])
 	}
-	if root.Children[0].Labels["records_in"] == "" || root.Children[0].Labels["records_out"] == "" {
-		t.Errorf("where span missing record counts: %v", root.Children[0].Labels)
-	}
 
-	// A traced response omitting "trace" still lands in the ring.
+	// An untraced query still lands in the ring.
 	postQuery(t, ts, QueryRequest{Analyst: "alice", Dataset: "hotspot", Query: "count", Epsilon: 0.1})
 	httpResp, err := http.Get(ts.URL + "/debug/traces")
 	if err != nil {
@@ -272,6 +269,10 @@ func TestQueryTraceSpanTree(t *testing.T) {
 	// Newest first.
 	if spans[0].Name != "query:count" || spans[1].Name != "query:hosts" {
 		t.Errorf("trace order %q, %q; want count then hosts", spans[0].Name, spans[1].Name)
+	}
+	// The owner-side tree keeps the record counts the analyst's lacks.
+	if where := spans[1].Children[0]; where.Labels["records_in"] == "" || where.Labels["records_out"] == "" {
+		t.Errorf("owner-side where span missing record counts: %v", where.Labels)
 	}
 
 	// ?n= limits; invalid n is a 400.

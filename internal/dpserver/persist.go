@@ -90,7 +90,7 @@ func (s *Server) restoreFromLedger() {
 		s.event(qlog.Error, "ledger_frozen", qlog.F("cause", cause.Error()))
 		s.degradedNoted.Store(true)
 	}
-	s.restoreAuditIdem(led.State())
+	s.restoreAuditIdem(led.CopyState())
 }
 
 // registerDataset is the ledger half of Add*Trace (callers hold s.mu):
@@ -102,8 +102,7 @@ func (s *Server) registerDataset(name, kind string, policy *core.AnalystPolicy, 
 	if s.ledger == nil {
 		return nil
 	}
-	state := s.ledger.State()
-	if ds, ok := state.Datasets[name]; ok {
+	if ds, ok := s.ledger.Dataset(name); ok {
 		if ds.Kind != kind ||
 			ds.Total != ledger.EncodeBudget(totalBudget) ||
 			ds.PerAnalyst != ledger.EncodeBudget(perAnalystBudget) {

@@ -234,7 +234,7 @@ func (s *Server) applyReplicated(ev ledger.Event) {
 // Unhosted datasets are skipped — their state lives in the ledger and
 // warms at registration.
 func (s *Server) warmPolicy(name string) {
-	ds, ok := s.ledger.State().Datasets[name]
+	ds, ok := s.ledger.Dataset(name)
 	if !ok {
 		return
 	}
@@ -266,7 +266,7 @@ func (s *Server) policyFor(name string) *core.AnalystPolicy {
 // warm state is rebuilt from the replayed ledger, exactly like a
 // restart's restore.
 func (s *Server) resetReplicated() {
-	state := s.ledger.State()
+	state := s.ledger.CopyState()
 	s.mu.RLock()
 	for name := range state.Datasets {
 		if p := s.policyFor(name); p != nil {
@@ -345,7 +345,7 @@ func (s *Server) Promote() (uint64, error) {
 // and idempotency caches are reconciled, and standing queries are
 // re-installed so the scheduler resumes firing windows.
 func (s *Server) resyncAfterPromote() {
-	state := s.ledger.State()
+	state := s.ledger.CopyState()
 	s.mu.Lock()
 	for name, kind := range s.hostedKinds() {
 		p := s.policyFor(name)

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"time"
 
 	"dptrace/internal/core"
@@ -65,41 +64,6 @@ func (s *Server) newStandingRegistry() *standing.Registry {
 // StandingStats exposes the registry's counters and fire-latency
 // percentiles (the bench-server standing row reads it).
 func (s *Server) StandingStats() standing.Stats { return s.standing.Stats() }
-
-// meteredAgent wraps a budget agent and accumulates the net ε applied
-// through it — the race-free way to measure what one window execution
-// charged (a SpentBy delta would count concurrent one-shot queries by
-// the same analyst). It sits at the top of the query's agent tree, so
-// scaled charges (e.g. GroupBy's ×2) are measured as the roots see
-// them.
-type meteredAgent struct {
-	inner core.Agent
-	mu    sync.Mutex
-	net   float64
-}
-
-func (m *meteredAgent) Apply(epsilon float64) error {
-	if err := m.inner.Apply(epsilon); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	m.net += epsilon
-	m.mu.Unlock()
-	return nil
-}
-
-func (m *meteredAgent) Rollback(epsilon float64) {
-	m.inner.Rollback(epsilon)
-	m.mu.Lock()
-	m.net -= epsilon
-	m.mu.Unlock()
-}
-
-func (m *meteredAgent) charged() float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.net
-}
 
 // standingQueryRequest rebuilds the per-window QueryRequest from the
 // registration's stored request bytes.
@@ -239,7 +203,7 @@ func (s *Server) restoreStanding(name string) {
 	if s.ledger == nil {
 		return
 	}
-	state := s.ledger.State()
+	state := s.ledger.CopyState()
 	var entries []*ledger.StandingState
 	for _, st := range state.Standing {
 		if st.Dataset == name {

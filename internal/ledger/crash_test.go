@@ -58,7 +58,7 @@ func TestRecoveryAtEveryTruncationOffset(t *testing.T) {
 		if rec.Err != nil {
 			t.Fatalf("cut=%d: recovery refused a torn tail: %v", cut, rec.Err)
 		}
-		st := l2.State()
+		st := l2.CopyState()
 		// Everything before the final record must survive; the final
 		// record itself must be dropped whole (cut < len(full) always
 		// tears it).
@@ -81,8 +81,8 @@ func TestRecoveryAtEveryTruncationOffset(t *testing.T) {
 		if err := l2.Append(Event{Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.1}); err != nil {
 			t.Fatalf("cut=%d: append after torn recovery: %v", cut, err)
 		}
-		if st.Seq != uint64(total) {
-			t.Fatalf("cut=%d: seq %d after re-append, want %d", cut, st.Seq, total)
+		if got := l2.CommittedSeq(); got != uint64(total) {
+			t.Fatalf("cut=%d: seq %d after re-append, want %d", cut, got, total)
 		}
 		l2.Close()
 
@@ -107,7 +107,7 @@ func TestRecoveryAtEveryTruncationOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	if got := l2.State().Seq; got != uint64(total) {
+	if got := l2.CopyState().Seq; got != uint64(total) {
 		t.Fatalf("full file recovered seq %d, want %d", got, total)
 	}
 }

@@ -55,8 +55,8 @@ func TestAppendWriteFaultRefusesAndDegrades(t *testing.T) {
 	if err := l.Append(charge()); !errors.Is(err, ErrDegraded) {
 		t.Fatalf("faulted append = %v, want ErrDegraded", err)
 	}
-	if l.State().Datasets["d"].TotalSpent != 0 {
-		t.Fatalf("refused charge leaked into state: spent %v", l.State().Datasets["d"].TotalSpent)
+	if l.CopyState().Datasets["d"].TotalSpent != 0 {
+		t.Fatalf("refused charge leaked into state: spent %v", l.CopyState().Datasets["d"].TotalSpent)
 	}
 	if l.Degraded() == nil || l.Refusing() == nil {
 		t.Fatal("ledger should report degraded")
@@ -232,7 +232,7 @@ func TestShortWriteTornTailIsTruncatedOnRecovery(t *testing.T) {
 	if rec.TornBytes != 10 {
 		t.Fatalf("TornBytes = %d, want 10", rec.TornBytes)
 	}
-	if got := l2.State().Datasets["d"].TotalSpent; got != 0.2 {
+	if got := l2.CopyState().Datasets["d"].TotalSpent; got != 0.2 {
 		t.Fatalf("recovered spend %v, want the two acked charges (0.2)", got)
 	}
 	if err := l2.Append(charge()); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -447,10 +448,27 @@ func decodeSnapshotState(ev *Event, auditCap int) (*State, error) {
 	return st, nil
 }
 
-// State returns the ledger's folded state. Read it during startup
-// restoration, before concurrent Appends begin: the same object is
-// updated in place by Append.
-func (l *Ledger) State() *State { return l.state }
+// Dataset returns a copy of one dataset's folded budget state.
+func (l *Ledger) Dataset(name string) (DatasetState, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ds, ok := l.state.Datasets[name]
+	if !ok {
+		return DatasetState{}, false
+	}
+	out := *ds
+	out.Spent = maps.Clone(ds.Spent)
+	return out, true
+}
+
+// CopyState returns a deep copy of the ledger's folded state, safe to
+// read while Append, ReplicaAppend and snapshots keep changing the
+// live one.
+func (l *Ledger) CopyState() *State {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.state.clone()
+}
 
 // Recovery reports what Open reconstructed.
 func (l *Ledger) Recovery() Recovery { return l.rec }

@@ -59,7 +59,7 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if rec.Events != 8 {
 		t.Fatalf("replayed %d events, want 8", rec.Events)
 	}
-	st := l2.State()
+	st := l2.CopyState()
 	ds := st.Datasets["d"]
 	if ds == nil {
 		t.Fatal("dataset not recovered")
@@ -124,7 +124,7 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	} else if rec.SnapshotSeq == 0 {
 		t.Fatal("recovery did not use a snapshot")
 	}
-	ds := l2.State().Datasets["d"]
+	ds := l2.CopyState().Datasets["d"]
 	want := 0.0
 	for i := 0; i < 35; i++ {
 		want += 0.1
@@ -132,16 +132,16 @@ func TestSnapshotAndCompaction(t *testing.T) {
 	if ds.Spent["alice"] != want {
 		t.Fatalf("alice spent %v across snapshot boundary, want %v", ds.Spent["alice"], want)
 	}
-	if l2.State().Seq != 36 {
-		t.Fatalf("seq %d, want 36", l2.State().Seq)
+	if l2.CopyState().Seq != 36 {
+		t.Fatalf("seq %d, want 36", l2.CopyState().Seq)
 	}
 
 	// Appends continue after the recovered snapshot.
 	if err := l2.Append(Event{Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.1}); err != nil {
 		t.Fatal(err)
 	}
-	if l2.State().Seq != 37 {
-		t.Fatalf("seq %d after append, want 37", l2.State().Seq)
+	if l2.CopyState().Seq != 37 {
+		t.Fatalf("seq %d after append, want 37", l2.CopyState().Seq)
 	}
 }
 
@@ -165,7 +165,7 @@ func TestFsyncPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer l2.Close()
-			if got := l2.State().Seq; got != 4 {
+			if got := l2.CopyState().Seq; got != 4 {
 				t.Fatalf("recovered seq %d, want 4", got)
 			}
 		})
@@ -258,7 +258,7 @@ func TestIdemReplyPersistAndExpiry(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	idem := l2.State().Idem
+	idem := l2.CopyState().Idem
 	if got := idem[IdemKeyString("/v1/query", "d", "alice", "k1")]; got == nil || string(got.Body) != `{"values":[1]}` {
 		t.Fatalf("live idem reply not recovered: %+v", got)
 	}
@@ -297,7 +297,7 @@ func TestBudgetSentinel(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	ds := l2.State().Datasets["d"]
+	ds := l2.CopyState().Datasets["d"]
 	if !math.IsInf(DecodeBudget(ds.Total), 1) {
 		t.Fatalf("unlimited budget did not survive snapshot: %v", ds.Total)
 	}
@@ -316,5 +316,65 @@ func TestAuditCapBoundsState(t *testing.T) {
 	}
 	if len(st.Audit) > 10 {
 		t.Fatalf("audit trail grew to %d entries, cap is 10", len(st.Audit))
+	}
+}
+
+// TestStateAccessorsReturnCopies: Dataset and CopyState hand out
+// copies, so readers racing live appends (a follower's replication
+// stream against a server registering datasets) never share the maps
+// Apply writes, and a copy never moves after it is taken.
+func TestStateAccessorsReturnCopies(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Fsync: FsyncNever})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	appendAll(t, l, chargeEvents(1))
+	appendAll(t, l, []Event{
+		{Type: EventStandingRegistered, Dataset: "d", Analyst: "alice", Standing: "sq", Query: "count", Epsilon: 0.1, Reservation: 1, Width: 10},
+		{Type: EventStandingWindow, Dataset: "d", Standing: "sq", Window: 0, Watermark: 10, Charged: 0.1, Outcome: "ok"},
+	})
+	ds, ok := l.Dataset("d")
+	st := l.CopyState()
+	if !ok || ds.Spent["alice"] != 0.2 {
+		t.Fatalf("Dataset = %+v, %v", ds, ok)
+	}
+	if _, ok := l.Dataset("nope"); ok {
+		t.Fatal("unknown dataset reported present")
+	}
+
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := l.Append(Event{Type: EventCharge, Dataset: "d", Analyst: "alice", Epsilon: 0.1}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		if err := l.Append(Event{Type: EventStandingWindow, Dataset: "d", Standing: "sq", Window: 1, Watermark: 20, Charged: 0.1, Outcome: "ok"}); err != nil {
+			t.Error(err)
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		d, _ := l.Dataset("d")
+		d.Spent["mallory"] = 1 // writes only the copy
+		c := l.CopyState()
+		c.Datasets["d"].Spent["mallory"] = 1
+	}
+	<-done
+
+	if ds.Spent["alice"] != 0.2 || st.Datasets["d"].Spent["alice"] != 0.2 || st.Seq != 4 {
+		t.Fatalf("copies moved with the ledger: %+v, seq %d", ds, st.Seq)
+	}
+	if w := st.Standing[StandingKeyString("d", "sq")].Windows; len(w) != 1 {
+		t.Fatalf("copied standing ring moved: %d windows", len(w))
+	}
+	live, _ := l.Dataset("d")
+	if _, leaked := live.Spent["mallory"]; leaked {
+		t.Fatal("a write to a copy reached the ledger")
+	}
+	if got := l.CopyState().Standing[StandingKeyString("d", "sq")].Windows; len(got) != 2 {
+		t.Fatalf("live standing ring has %d windows, want 2", len(got))
 	}
 }

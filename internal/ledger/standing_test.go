@@ -56,7 +56,7 @@ func TestStandingRoundTrip(t *testing.T) {
 	if rec := l2.Recovery(); rec.Err != nil {
 		t.Fatalf("recovery: %v", rec.Err)
 	}
-	st := l2.State().Standing[StandingKeyString("d", "sq-1")]
+	st := l2.CopyState().Standing[StandingKeyString("d", "sq-1")]
 	if st == nil {
 		t.Fatal("standing state not recovered")
 	}
@@ -75,7 +75,7 @@ func TestStandingRoundTrip(t *testing.T) {
 	}
 	// The atomic half: window charges folded into the dataset's spends
 	// exactly like live silent charges.
-	ds := l2.State().Datasets["d"]
+	ds := l2.CopyState().Datasets["d"]
 	if ds.Spent["mon"] != 0.2 || ds.TotalSpent != 0.2 {
 		t.Fatalf("dataset spends (%v, %v), want (0.2, 0.2)", ds.Spent["mon"], ds.TotalSpent)
 	}
@@ -206,7 +206,7 @@ func TestStandingSurvivesSnapshotCompaction(t *testing.T) {
 	if rec := l2.Recovery(); rec.Err != nil {
 		t.Fatalf("recovery: %v", rec.Err)
 	}
-	st := l2.State().Standing[StandingKeyString("d", "sq-1")]
+	st := l2.CopyState().Standing[StandingKeyString("d", "sq-1")]
 	if st == nil || st.NextWindow != 30 || len(st.Windows) != 30 {
 		t.Fatalf("snapshot round trip lost standing state: %+v", st)
 	}
@@ -214,8 +214,8 @@ func TestStandingSurvivesSnapshotCompaction(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		want += 0.01
 	}
-	if st.Spent != want || l2.State().Datasets["d"].TotalSpent != want {
+	if st.Spent != want || l2.CopyState().Datasets["d"].TotalSpent != want {
 		t.Fatalf("spend %v (dataset %v), want the in-order sum %v",
-			st.Spent, l2.State().Datasets["d"].TotalSpent, want)
+			st.Spent, l2.CopyState().Datasets["d"].TotalSpent, want)
 	}
 }

@@ -2,6 +2,8 @@ package ledger
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 )
 
@@ -152,6 +154,38 @@ func NewState(auditCap int) *State {
 		Idem:     make(map[string]*IdemRecord),
 		auditCap: auditCap,
 	}
+}
+
+// clone returns a deep copy: fresh maps, slices and records. Byte
+// payloads (idempotent and window bodies, standing requests) are
+// shared, because Apply only ever replaces them, never writes into
+// them.
+func (s *State) clone() *State {
+	out := &State{
+		Seq:      s.Seq,
+		Datasets: make(map[string]*DatasetState, len(s.Datasets)),
+		Audit:    slices.Clone(s.Audit),
+		Idem:     make(map[string]*IdemRecord, len(s.Idem)),
+		auditCap: s.auditCap,
+	}
+	for k, ds := range s.Datasets {
+		c := *ds
+		c.Spent = maps.Clone(ds.Spent)
+		out.Datasets[k] = &c
+	}
+	for k, rec := range s.Idem {
+		c := *rec
+		out.Idem[k] = &c
+	}
+	if s.Standing != nil {
+		out.Standing = make(map[string]*StandingState, len(s.Standing))
+		for k, st := range s.Standing {
+			c := *st
+			c.Windows = slices.Clone(st.Windows)
+			out.Standing[k] = &c
+		}
+	}
+	return out
 }
 
 // Apply folds one event into the state. Events must arrive in strictly

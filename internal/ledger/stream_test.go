@@ -236,7 +236,7 @@ func TestInstallSnapshotSeedsEmptyLedgerOnly(t *testing.T) {
 	if b.CommittedSeq() != 10 {
 		t.Fatalf("seq after install = %d, want 10", b.CommittedSeq())
 	}
-	ds := b.State().Datasets["d"]
+	ds := b.CopyState().Datasets["d"]
 	if ds == nil || ds.Spent["alice"] == 0 {
 		t.Fatal("snapshot state not installed")
 	}

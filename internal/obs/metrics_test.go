@@ -3,6 +3,7 @@ package obs
 import (
 	"encoding/json"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -134,7 +135,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				reg.Counter("c_total", "g", itoa(g%2)).Inc()
+				reg.Counter("c_total", "g", strconv.Itoa(g%2)).Inc()
 				reg.Gauge("g").Add(1)
 				reg.Histogram("h", []float64{1, 2}).Observe(float64(i % 3))
 				if i%100 == 0 {
@@ -181,24 +182,6 @@ func TestMetricsRecorder(t *testing.T) {
 	h := reg.Histogram("dp_op_duration_seconds", DurationBuckets(), "op", "where")
 	if h.Count() != 2 {
 		t.Fatalf("op duration observations = %d, want 2", h.Count())
-	}
-}
-
-func TestMultiRecorder(t *testing.T) {
-	reg1, reg2 := NewRegistry(), NewRegistry()
-	rec := Multi(nil, NewMetricsRecorder(reg1), NewMetricsRecorder(reg2))
-	rec.OpDone("select", 1000, 5, 5, 8)
-	for _, reg := range []*Registry{reg1, reg2} {
-		if got := reg.Counter("dp_op_records_in_total", "op", "select").Value(); got != 5 {
-			t.Fatalf("fan-out lost a recorder: got %v", got)
-		}
-	}
-	if Multi(nil, nil) != nil {
-		t.Fatal("Multi of nils should collapse to nil")
-	}
-	single := NewMetricsRecorder(reg1)
-	if Multi(single) != Recorder(single) {
-		t.Fatal("Multi of one should return it unchanged")
 	}
 }
 

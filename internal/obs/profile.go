@@ -35,8 +35,8 @@ type ProfileAgg struct {
 
 // Profile is a query's execution profile: the operator tree flattened
 // into report order, plus every aggregation attempt. It is the
-// per-query artifact behind wide events, GET /debug/queries, and the
-// X-DP-Explain response field.
+// per-query record behind wide events, GET /debug/queries, span
+// trees, the X-DP-Explain response field, and the engine metrics.
 //
 // Privacy: durations, strategies, operator names, and ε amounts are
 // operational metadata. Exact record counts are NOT — the row count
@@ -146,9 +146,31 @@ func (p *Profile) WriteText(w io.Writer) {
 	}
 }
 
-// ChargeMeter reports cumulative ε charged so far for the principal a
-// profile is being built for — typically a closure over the dataset
-// policy's SpentBy(analyst). The recorder reads it around each
+// Replay feeds the profile's rows to r as the engine reported them:
+// one OpDone per operator row, then one AggDone per aggregation row.
+// A server builds one profile per query and replays the finished
+// profile into its metrics recorder, so the engine counters are a
+// view of the same record as every other per-query surface.
+func (p *Profile) Replay(r Recorder) {
+	if p == nil {
+		return
+	}
+	for _, op := range p.Ops {
+		workers := op.Workers
+		if op.Strategy == StrategyFused {
+			workers = FusedWorkers
+		}
+		r.OpDone(op.Op, time.Duration(op.DurationNs), int(op.RecordsIn), int(op.RecordsOut), workers)
+	}
+	for _, a := range p.Aggs {
+		r.AggDone(a.Agg, a.Outcome, a.EpsilonRequested, time.Duration(a.DurationNs))
+	}
+}
+
+// ChargeMeter reports cumulative ε charged so far by the query a
+// profile is being built for — on a server, the net ε applied through
+// that query's own metered budget agent, which concurrent queries by
+// the same analyst cannot disturb. The recorder reads it around each
 // aggregation to derive the per-aggregation charge, which captures
 // sensitivity scaling and dual-agent rollbacks that the requested ε
 // does not reflect.

@@ -108,3 +108,35 @@ func TestProfileWriteText(t *testing.T) {
 		t.Errorf("redacted plan not labeled:\n%s", b.String())
 	}
 }
+
+// TestProfileReplay: replaying a finished profile into the metrics
+// recorder yields the counters the engine would have fed it live.
+func TestProfileReplay(t *testing.T) {
+	r := NewProfileRecorder(nil)
+	r.OpDone("where", time.Millisecond, 100, 40, 0)
+	r.OpDone("groupby", time.Millisecond, 40, 8, 4)
+	r.OpDone("select", 0, 8, 8, FusedWorkers)
+	r.AggDone("count", OutcomeOK, 0.1, time.Microsecond)
+	r.AggDone("count", OutcomeRefused, 0.5, 0)
+
+	live, replayed := NewRegistry(), NewRegistry()
+	rec := NewMetricsRecorder(live)
+	rec.OpDone("where", time.Millisecond, 100, 40, 0)
+	rec.OpDone("groupby", time.Millisecond, 40, 8, 4)
+	rec.OpDone("select", 0, 8, 8, FusedWorkers)
+	rec.AggDone("count", OutcomeOK, 0.1, time.Microsecond)
+	rec.AggDone("count", OutcomeRefused, 0.5, 0)
+	r.Profile().Replay(NewMetricsRecorder(replayed))
+
+	var a, b strings.Builder
+	if err := live.WritePrometheus(&a); err != nil {
+		t.Fatal(err)
+	}
+	if err := replayed.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if a.String() != b.String() {
+		t.Fatalf("replayed metrics differ from live:\n%s\nvs\n%s", b.String(), a.String())
+	}
+	(*Profile)(nil).Replay(NewMetricsRecorder(replayed)) // no-op
+}

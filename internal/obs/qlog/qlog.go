@@ -243,9 +243,8 @@ type Options struct {
 	// Now is the clock (a test seam); nil means time.Now.
 	Now func() time.Time
 	// Mirror, when set, additionally receives a human-readable
-	// rendering of every kept event at Warn or above. It exists for
-	// the deprecated WithLogf plumbing; new code should consume the
-	// JSON stream.
+	// rendering of every kept event at Warn or above — for a test log
+	// or a terminal that wants text lines beside the JSON stream.
 	Mirror func(format string, args ...any)
 }
 
@@ -390,7 +389,7 @@ func (l *Logger) Dropped() uint64 {
 }
 
 // Text renders the event for humans — "event k=v k=v ..." — the form
-// the mirror and the deprecated printf-style shims emit.
+// the mirror emits.
 func (e Event) Text() string {
 	var b bytes.Buffer
 	b.WriteString(e.Name)

@@ -1,9 +1,6 @@
 package obs
 
-import (
-	"strconv"
-	"time"
-)
+import "time"
 
 // Recorder receives engine telemetry: one OpDone per transformation,
 // one AggDone per aggregation attempt. Implementations must be safe
@@ -62,13 +59,6 @@ func StrategyName(workers int) string {
 	return StrategySequential
 }
 
-// NopRecorder discards everything. The engine also accepts nil; this
-// exists for callers that want an explicit value.
-type NopRecorder struct{}
-
-func (NopRecorder) OpDone(string, time.Duration, int, int, int)    {}
-func (NopRecorder) AggDone(string, string, float64, time.Duration) {}
-
 // MetricsRecorder aggregates engine telemetry into a Registry:
 //
 //	dp_op_duration_seconds{op=...}    histogram of operator wall time
@@ -109,40 +99,3 @@ func (m *MetricsRecorder) AggDone(agg, outcome string, epsilon float64, d time.D
 		m.reg.Counter("dp_budget_spend_total").Add(epsilon)
 	}
 }
-
-// multiRecorder fans out to several recorders.
-type multiRecorder []Recorder
-
-func (m multiRecorder) OpDone(op string, d time.Duration, in, out, workers int) {
-	for _, r := range m {
-		r.OpDone(op, d, in, out, workers)
-	}
-}
-
-func (m multiRecorder) AggDone(agg, outcome string, epsilon float64, d time.Duration) {
-	for _, r := range m {
-		r.AggDone(agg, outcome, epsilon, d)
-	}
-}
-
-// Multi combines recorders; nils are dropped. It returns nil when
-// nothing remains, so the engine's nil fast path still applies.
-func Multi(recs ...Recorder) Recorder {
-	out := make(multiRecorder, 0, len(recs))
-	for _, r := range recs {
-		if r != nil {
-			out = append(out, r)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	default:
-		return out
-	}
-}
-
-// itoa is strconv.Itoa, aliased so recorder call sites stay short.
-func itoa(v int) string { return strconv.Itoa(v) }

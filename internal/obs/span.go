@@ -1,11 +1,11 @@
 package obs
 
 import (
-	"sync"
+	"strconv"
 	"time"
 )
 
-// Span is one timed region of work. A query's execution produces a
+// Span is one timed region of work. A query's execution renders as a
 // tree of spans: the root covers the whole request, children cover
 // each pipeline operator and the final aggregation. Spans carry only
 // operational metadata (names, durations, record counts) — never
@@ -16,170 +16,44 @@ type Span struct {
 	Duration time.Duration     `json:"durationNs"` // JSON in nanoseconds
 	Labels   map[string]string `json:"labels,omitempty"`
 	Children []*Span           `json:"children,omitempty"`
-
-	parent *Span
 }
 
-// NewSpan starts a root span now.
-func NewSpan(name string) *Span {
-	return &Span{Name: name, Start: time.Now()}
-}
-
-// StartChild starts a child span now. Spans themselves are not
-// concurrency-safe; a pipeline builds its tree sequentially and
-// TraceRecorder adds locking where needed.
-func (s *Span) StartChild(name string) *Span {
-	c := &Span{Name: name, Start: time.Now(), parent: s}
-	s.Children = append(s.Children, c)
-	return c
-}
-
-// Parent returns the span this one was started under (nil for roots).
-func (s *Span) Parent() *Span { return s.parent }
-
-// End closes the span. Duration is clamped to ≥1ns so a recorded span
-// is always distinguishable from one that never ended, even when the
-// clock's tick is coarser than the work.
-func (s *Span) End() {
-	d := time.Since(s.Start)
-	if d <= 0 {
-		d = 1
+// Span renders the profile as a span tree: a root named name covering
+// [start, start+d) with the given labels, then one child per operator
+// in profile order and one "aggregate:<agg>" child per aggregation,
+// laid end to end from start. Durations are clamped to ≥1ns so a
+// rendered span is always distinguishable from one that never ran
+// (fused operators report zero). Operator children carry record-count
+// labels only when their row is unredacted, so a tree rendered from
+// Redact() is as safe to hand an analyst as the profile itself.
+func (p *Profile) Span(name string, start time.Time, d time.Duration, labels map[string]string) *Span {
+	root := &Span{Name: name, Start: start, Duration: max(d, 1), Labels: labels}
+	if p == nil {
+		return root
 	}
-	s.Duration = d
-}
-
-// SetLabel attaches a key/value to the span.
-func (s *Span) SetLabel(k, v string) {
-	if s.Labels == nil {
-		s.Labels = make(map[string]string)
+	at := start
+	child := func(name string, ns int64, labels map[string]string) {
+		c := &Span{Name: name, Start: at, Duration: max(time.Duration(ns), 1), Labels: labels}
+		root.Children = append(root.Children, c)
+		at = at.Add(c.Duration)
 	}
-	s.Labels[k] = v
-}
-
-// TraceRecorder materializes Recorder callbacks as a span tree under
-// one root: each OpDone/AggDone becomes a completed child span whose
-// start is back-dated by the reported duration. It is safe for
-// concurrent use, though a single query pipeline reports sequentially.
-type TraceRecorder struct {
-	mu   sync.Mutex
-	root *Span
-	done bool
-}
-
-// NewTraceRecorder opens a root span with the given name.
-func NewTraceRecorder(name string) *TraceRecorder {
-	return &TraceRecorder{root: NewSpan(name)}
-}
-
-// SetLabel labels the root span.
-func (t *TraceRecorder) SetLabel(k, v string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.root.SetLabel(k, v)
-}
-
-// OpDone implements Recorder.
-func (t *TraceRecorder) OpDone(op string, d time.Duration, in, out, workers int) {
-	labels := map[string]string{
-		"records_in":  itoa(in),
-		"records_out": itoa(out),
-		"strategy":    StrategyName(workers),
+	for _, op := range p.Ops {
+		l := map[string]string{"strategy": op.Strategy}
+		if op.Workers >= 2 {
+			l["workers"] = strconv.Itoa(op.Workers)
+		}
+		if !op.Redacted {
+			l["records_in"] = formatValue(op.RecordsIn)
+			l["records_out"] = formatValue(op.RecordsOut)
+		}
+		child(op.Op, op.DurationNs, l)
 	}
-	if workers >= 2 {
-		labels["workers"] = itoa(workers)
+	for _, a := range p.Aggs {
+		child("aggregate:"+a.Agg, a.DurationNs, map[string]string{
+			"outcome":         a.Outcome,
+			"epsilon":         formatValue(a.EpsilonRequested),
+			"epsilon_charged": formatValue(a.EpsilonCharged),
+		})
 	}
-	t.addChild(op, d, labels)
-}
-
-// AggDone implements Recorder.
-func (t *TraceRecorder) AggDone(agg, outcome string, epsilon float64, d time.Duration) {
-	t.addChild("aggregate:"+agg, d, map[string]string{
-		"outcome": outcome,
-		"epsilon": formatValue(epsilon),
-	})
-}
-
-func (t *TraceRecorder) addChild(name string, d time.Duration, labels map[string]string) {
-	if d <= 0 {
-		d = 1
-	}
-	now := time.Now()
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.done {
-		return
-	}
-	c := &Span{
-		Name:     name,
-		Start:    now.Add(-d),
-		Duration: d,
-		Labels:   labels,
-		parent:   t.root,
-	}
-	t.root.Children = append(t.root.Children, c)
-}
-
-// Finish closes the root span and returns the completed tree. Further
-// recorder callbacks are dropped.
-func (t *TraceRecorder) Finish() *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !t.done {
-		t.root.End()
-		t.done = true
-	}
-	return t.root
-}
-
-// TraceBuffer is a fixed-capacity ring of recent traces: the data
-// owner's flight recorder behind GET /debug/traces.
-type TraceBuffer struct {
-	mu    sync.Mutex
-	ring  []*Span
-	next  int
-	count int
-}
-
-// DefaultTraceCap bounds the ring when NewTraceBuffer is given a
-// non-positive capacity.
-const DefaultTraceCap = 64
-
-// NewTraceBuffer creates a ring holding the most recent max traces.
-func NewTraceBuffer(max int) *TraceBuffer {
-	if max <= 0 {
-		max = DefaultTraceCap
-	}
-	return &TraceBuffer{ring: make([]*Span, max)}
-}
-
-// Add records one completed trace, evicting the oldest when full.
-func (b *TraceBuffer) Add(s *Span) {
-	if s == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.ring[b.next] = s
-	b.next = (b.next + 1) % len(b.ring)
-	if b.count < len(b.ring) {
-		b.count++
-	}
-}
-
-// Len reports how many traces are held.
-func (b *TraceBuffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.count
-}
-
-// Snapshot returns the held traces, newest first.
-func (b *TraceBuffer) Snapshot() []*Span {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := make([]*Span, 0, b.count)
-	for i := 1; i <= b.count; i++ {
-		out = append(out, b.ring[(b.next-i+len(b.ring))%len(b.ring)])
-	}
-	return out
+	return root
 }

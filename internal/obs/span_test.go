@@ -2,41 +2,36 @@ package obs
 
 import (
 	"encoding/json"
-	"sync"
 	"testing"
 	"time"
 )
 
 func TestSpanTree(t *testing.T) {
-	root := NewSpan("query")
-	c1 := root.StartChild("where")
-	time.Sleep(time.Millisecond)
-	c1.End()
-	c2 := root.StartChild("groupby")
-	c2.SetLabel("records_in", "10")
-	c2.End()
-	root.End()
+	p := &Profile{
+		Ops: []ProfileOp{
+			{Op: "where", DurationNs: int64(time.Millisecond), Strategy: StrategySequential},
+			{Op: "groupby", DurationNs: int64(2 * time.Millisecond), RecordsIn: 10, Strategy: StrategySequential},
+		},
+	}
+	start := time.Unix(100, 0)
+	root := p.Span("query", start, 5*time.Millisecond, nil)
 
 	if len(root.Children) != 2 {
 		t.Fatalf("children = %d, want 2", len(root.Children))
 	}
-	if c1.Parent() != root || c2.Parent() != root {
-		t.Fatal("parent links broken")
+	c1, c2 := root.Children[0], root.Children[1]
+	if root.Duration != 5*time.Millisecond || c1.Duration != time.Millisecond {
+		t.Fatalf("durations root %v, c1 %v", root.Duration, c1.Duration)
 	}
-	if c1.Duration < time.Millisecond {
-		t.Fatalf("c1 duration = %v, want >= 1ms", c1.Duration)
-	}
-	for _, s := range []*Span{root, c1, c2} {
-		if s.Duration <= 0 {
-			t.Fatalf("span %q has non-positive duration %v", s.Name, s.Duration)
-		}
+	// Children are laid end to end from the root's start.
+	if !c1.Start.Equal(start) || !c2.Start.Equal(start.Add(time.Millisecond)) {
+		t.Fatalf("child starts %v, %v", c1.Start, c2.Start)
 	}
 	if c2.Labels["records_in"] != "10" {
 		t.Fatalf("labels = %v", c2.Labels)
 	}
 
-	// The tree must serialize without choking on the private parent
-	// pointer, and durations must come out as nanoseconds.
+	// Durations must come out as nanoseconds.
 	b, err := json.Marshal(root)
 	if err != nil {
 		t.Fatal(err)
@@ -54,23 +49,26 @@ func TestSpanTree(t *testing.T) {
 	if decoded.Name != "query" || len(decoded.Children) != 2 {
 		t.Fatalf("bad JSON tree: %s", b)
 	}
-	if decoded.Children[0].DurationNs <= 0 {
+	if decoded.Children[0].DurationNs != int64(time.Millisecond) {
 		t.Fatalf("child duration not serialized: %s", b)
 	}
 }
 
-func TestTraceRecorderBuildsChildren(t *testing.T) {
-	tr := NewTraceRecorder("query:hosts")
-	tr.SetLabel("analyst", "alice")
-	tr.OpDone("where", 2*time.Millisecond, 100, 60, 0)
-	tr.OpDone("groupby", time.Millisecond, 60, 12, 4)
-	tr.AggDone("count", OutcomeOK, 0.1, 500*time.Microsecond)
-	root := tr.Finish()
+func TestProfileSpan(t *testing.T) {
+	charged := 0.0
+	r := NewProfileRecorder(func() float64 { return charged })
+	r.OpDone("where", 2*time.Millisecond, 100, 60, 0)
+	r.OpDone("groupby", time.Millisecond, 60, 12, 4)
+	r.OpDone("select", 0, 12, 12, FusedWorkers)
+	charged = 0.2 // GroupBy doubles the charge
+	r.AggDone("count", OutcomeOK, 0.1, 500*time.Microsecond)
+	p := r.Profile()
+	root := p.Span("query:hosts", time.Now(), time.Millisecond, map[string]string{"analyst": "alice"})
 
 	if root.Name != "query:hosts" || root.Labels["analyst"] != "alice" {
 		t.Fatalf("root = %+v", root)
 	}
-	names := []string{"where", "groupby", "aggregate:count"}
+	names := []string{"where", "groupby", "select", "aggregate:count"}
 	if len(root.Children) != len(names) {
 		t.Fatalf("children = %d, want %d", len(root.Children), len(names))
 	}
@@ -79,76 +77,29 @@ func TestTraceRecorderBuildsChildren(t *testing.T) {
 		if c.Name != want {
 			t.Fatalf("child %d = %q, want %q", i, c.Name, want)
 		}
+		// Zero-duration (fused) rows are still visible spans.
 		if c.Duration <= 0 {
 			t.Fatalf("child %q duration = %v, want > 0", c.Name, c.Duration)
 		}
 	}
-	if root.Children[0].Labels["records_out"] != "60" {
-		t.Fatalf("op labels = %v", root.Children[0].Labels)
+	if l := root.Children[0].Labels; l["records_out"] != "60" || l["strategy"] != StrategySequential {
+		t.Fatalf("op labels = %v", l)
 	}
-	if root.Children[2].Labels["outcome"] != OutcomeOK {
-		t.Fatalf("agg labels = %v", root.Children[2].Labels)
+	if l := root.Children[1].Labels; l["workers"] != "4" || l["strategy"] != StrategyParallel {
+		t.Fatalf("parallel op labels = %v", l)
 	}
-	// Zero-duration callbacks are still visible spans.
-	tr2 := NewTraceRecorder("q")
-	tr2.OpDone("select", 0, 1, 1, 0)
-	if got := tr2.Finish().Children[0].Duration; got <= 0 {
-		t.Fatalf("zero-duration op span = %v, want > 0", got)
+	agg := root.Children[3].Labels
+	if agg["outcome"] != OutcomeOK || agg["epsilon"] != "0.1" || agg["epsilon_charged"] != "0.2" {
+		t.Fatalf("agg labels = %v", agg)
 	}
-	// Post-Finish callbacks are dropped, not appended.
-	tr.OpDone("late", time.Millisecond, 1, 1, 0)
-	if len(tr.Finish().Children) != len(names) {
-		t.Fatal("callback after Finish should be dropped")
-	}
-}
 
-func TestTraceBufferRing(t *testing.T) {
-	b := NewTraceBuffer(3)
-	for i := 0; i < 5; i++ {
-		s := NewSpan("q" + itoa(i))
-		s.End()
-		b.Add(s)
-	}
-	if b.Len() != 3 {
-		t.Fatalf("len = %d, want 3", b.Len())
-	}
-	got := b.Snapshot()
-	want := []string{"q4", "q3", "q2"} // newest first
-	for i, w := range want {
-		if got[i].Name != w {
-			t.Fatalf("snapshot[%d] = %q, want %q", i, got[i].Name, w)
+	// A tree rendered from the redacted profile carries no counts.
+	for _, c := range p.Redact().Span("q", time.Now(), 1, nil).Children {
+		if _, ok := c.Labels["records_in"]; ok {
+			t.Fatalf("redacted span %q has records_in: %v", c.Name, c.Labels)
 		}
-	}
-	b.Add(nil) // ignored
-	if b.Len() != 3 {
-		t.Fatal("nil add should be ignored")
-	}
-}
-
-func TestTraceBufferConcurrent(t *testing.T) {
-	b := NewTraceBuffer(8)
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				s := NewSpan("s")
-				s.End()
-				b.Add(s)
-				if i%50 == 0 {
-					b.Snapshot()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if b.Len() != 8 {
-		t.Fatalf("len = %d, want 8", b.Len())
-	}
-	for _, s := range b.Snapshot() {
-		if s == nil {
-			t.Fatal("ring leaked a nil slot")
+		if _, ok := c.Labels["records_out"]; ok {
+			t.Fatalf("redacted span %q has records_out: %v", c.Name, c.Labels)
 		}
 	}
 }

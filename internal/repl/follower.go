@@ -383,7 +383,7 @@ func (f *Follower) verifyTail() error {
 	if rec.Err != nil {
 		return rec.Err
 	}
-	live := f.led.State()
+	live := f.led.CopyState()
 	if st.Seq != live.Seq {
 		return fmt.Errorf("replayed seq %d, live %d", st.Seq, live.Seq)
 	}

@@ -177,7 +177,7 @@ func TestSnapshotCatchUpBehindCompaction(t *testing.T) {
 	if reset != 1 {
 		t.Fatalf("OnReset fired %d times, want 1", reset)
 	}
-	st := fl.State()
+	st := fl.CopyState()
 	if st.Seq != 11 || st.Datasets["d"] == nil || st.Datasets["d"].Spent["alice"] == 0 {
 		t.Fatalf("follower state not warmed: %+v", st)
 	}
